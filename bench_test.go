@@ -413,8 +413,8 @@ func BenchmarkBruteForceParallel(b *testing.B) {
 			det, p := table1Detector(b, "Segmentation")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := det.BruteForceParallel(
-					core.BruteForceOptions{K: p.K, M: 20}, workers); err != nil {
+				if _, err := det.BruteForce(
+					core.BruteForceOptions{K: p.K, M: 20, Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -87,7 +87,7 @@ func NewStorage(ds *dataset.Dataset, logger *slog.Logger) *Storage {
 func (st *Storage) Fingerprint() string { return st.fp }
 
 // SetSpans enables distributed tracing on this node: RPCs arriving
-// with a trace envelope continue the caller's trace as spans in r's
+// with trace headers continue the caller's trace as spans in r's
 // ring, served back through the trace RPC and the node's own debug
 // endpoints. nil (the default) disables tracing. Must be set before
 // the node starts serving.
@@ -203,21 +203,26 @@ func rpcErrorf(code int, format string, args ...any) error {
 }
 
 // serveRPC reads, validates and dispatches one frame, writing either
-// the handler's response frame or a plain-text error. A trace
-// envelope around the frame continues the caller's trace as a span on
-// this node. Returns the status code for metrics and the trace ID
-// (if any) for the debug log.
+// the handler's response frame or a plain-text error. Trace context in
+// the obs.TraceHeader and obs.ParentSpanHeader request headers
+// continues the caller's trace as a span on this node; an ID longer
+// than obs.MaxIDLen is a 400 and records no span. Returns the status
+// code for metrics and the trace ID (if any) for the debug log.
 func (st *Storage) serveRPC(w http.ResponseWriter, r *http.Request, name string, want msgType, h func([]byte) ([]byte, error)) (int, string) {
+	sc := obs.SpanContext{
+		TraceID: r.Header.Get(obs.TraceHeader),
+		SpanID:  r.Header.Get(obs.ParentSpanHeader),
+	}
+	if len(sc.TraceID) > obs.MaxIDLen || len(sc.SpanID) > obs.MaxIDLen {
+		return writeRPCError(w, http.StatusBadRequest,
+			fmt.Sprintf("cluster: trace headers are limited to %d bytes", obs.MaxIDLen)), ""
+	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxFramePayload+64))
 	if err != nil {
 		return writeRPCError(w, http.StatusRequestEntityTooLarge, err.Error()), ""
 	}
-	sc, body, err := unwrapTraceFrame(body)
-	if err != nil {
-		return writeRPCError(w, http.StatusBadRequest, err.Error()), ""
-	}
-	// Continue the select node's trace; nil st.spans or a bare frame
-	// yields a nil span and every call below is a no-op.
+	// Continue the select node's trace; nil st.spans or an untraced
+	// request yields a nil span and every call below is a no-op.
 	sp := st.spans.Continue("storage:"+name, sc)
 	t, payload, err := decodeFrame(body)
 	if err != nil {

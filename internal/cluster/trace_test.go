@@ -1,10 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -19,8 +19,8 @@ import (
 	"hido/internal/stream"
 )
 
-// TestTraceProtoRoundTrip drives the trace messages and the envelope
-// through encode → decode and requires them back unchanged.
+// TestTraceProtoRoundTrip drives the trace messages through encode →
+// decode and requires them back unchanged.
 func TestTraceProtoRoundTrip(t *testing.T) {
 	req := &traceReq{TraceID: "t-cafe"}
 	typ, payload, err := decodeFrame(req.encode())
@@ -52,59 +52,6 @@ func TestTraceProtoRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(resp.Spans, gotResp.Spans) {
 		t.Errorf("traceResp: got %+v want %+v", gotResp.Spans, resp.Spans)
 	}
-
-	// Envelope: wrap → unwrap returns the context and the inner frame.
-	inner := (&traceReq{TraceID: "t-1"}).encode()
-	sc, body, err := unwrapTraceFrame(wrapTraceFrame("t-1", "s-root", inner))
-	if err != nil || sc.TraceID != "t-1" || sc.SpanID != "s-root" {
-		t.Fatalf("unwrap: sc %+v err %v", sc, err)
-	}
-	if !reflect.DeepEqual(body, inner) {
-		t.Errorf("unwrap did not return the inner frame")
-	}
-
-	// A bare frame — an old client, or tracing off — passes through
-	// unchanged with a zero context.
-	sc, body, err = unwrapTraceFrame(inner)
-	if err != nil || sc.TraceID != "" || !reflect.DeepEqual(body, inner) {
-		t.Errorf("bare frame: sc %+v err %v", sc, err)
-	}
-
-	// Claiming the magic but truncating the header is an error, for
-	// every strict prefix.
-	wrapped := wrapTraceFrame("t-1", "s-root", inner)
-	for i := len(traceMagic); i < len(traceMagic)+12; i++ {
-		if _, _, err := unwrapTraceFrame(wrapped[:i]); err == nil {
-			t.Errorf("truncated envelope of %d bytes accepted", i)
-		}
-	}
-
-	// Hostile ID length: longer than maxTraceField must be rejected.
-	long := wrapTraceFrame(strings.Repeat("x", maxTraceField+1), "s", inner)
-	if _, _, err := unwrapTraceFrame(long); err == nil {
-		t.Error("oversized trace ID accepted")
-	}
-}
-
-// FuzzUnwrapTraceFrame throws hostile bytes at the envelope parser.
-// Total property: no panic, and a body without the envelope magic is
-// always passed through byte-identical.
-func FuzzUnwrapTraceFrame(f *testing.F) {
-	inner := (&traceReq{TraceID: "t-1"}).encode()
-	f.Add(wrapTraceFrame("t-1", "s-1", inner))
-	f.Add(wrapTraceFrame("", "", nil))
-	f.Add([]byte(traceMagic))
-	f.Add(append([]byte(traceMagic), 0xff, 0xff, 0xff, 0xff))
-	f.Add(inner)
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		sc, body, err := unwrapTraceFrame(data)
-		if len(data) < len(traceMagic) || string(data[:len(traceMagic)]) != traceMagic {
-			if err != nil || sc.TraceID != "" || sc.SpanID != "" || !reflect.DeepEqual(body, data) {
-				t.Fatalf("bare body not passed through: sc %+v err %v", sc, err)
-			}
-		}
-	})
 }
 
 // spanTreeJSON mirrors the debug endpoint's tree nodes.
@@ -370,113 +317,142 @@ func TestClientRetrySpans(t *testing.T) {
 	}
 }
 
-// TestTraceEnvelopeCompat pins both directions of wire compatibility:
-// a new client against a pre-tracing server falls back to bare frames
-// and caches the verdict; an old client's bare frames work against a
-// new server; and a genuine bad request through the envelope stays a
-// bad request without poisoning the capability cache.
-func TestTraceEnvelopeCompat(t *testing.T) {
+// TestUntracedRPCRecordsNoSpans posts a bare frame with no trace
+// headers — a caller with tracing off — to a traced storage node: it
+// is served, and nothing lands in the ring.
+func TestUntracedRPCRecordsNoSpans(t *testing.T) {
+	rec := obs.NewSpanRecorder(obs.SpanRecorderConfig{Node: "storage"})
+	st := NewStorage(testData(t, 40), nil)
+	st.SetSpans(rec)
+	srv := httptest.NewServer(st.Handler())
+	defer srv.Close()
+
+	resp, err := http.Post(srv.URL+"/rpc/v1/info", "application/octet-stream",
+		bytes.NewReader(emptyFrame(msgInfoReq)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("untraced RPC: %d", resp.StatusCode)
+	}
+	if n := rec.TotalSpans(); n != 0 {
+		t.Errorf("untraced RPC recorded %d spans, want 0", n)
+	}
+}
+
+// TestTracedBadRequestPostedOnce sends a traced RPC the shard rejects
+// with 400: the client posts it exactly once, and the shard's span
+// continues the caller's trace under the attempt's span.
+func TestTracedBadRequestPostedOnce(t *testing.T) {
+	storeRec := obs.NewSpanRecorder(obs.SpanRecorderConfig{Node: "storage"})
+	st := NewStorage(testData(t, 40), nil)
+	st.SetSpans(storeRec)
+	real := st.Handler()
+	var posts atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		posts.Add(1)
+		real.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	rec := obs.NewSpanRecorder(obs.SpanRecorderConfig{Node: "select"})
+	root := rec.StartRoot("test", "t-bad")
+	ctx := obs.ContextWithSpan(context.Background(), root)
+	client := NewClient(ClientConfig{Timeout: 5 * time.Second, Retries: 2, Backoff: time.Millisecond})
+
+	// An info frame on the count endpoint is the shard's 400.
+	_, err := client.Call(ctx, srv.URL, "count", emptyFrame(msgInfoReq), msgCountResp)
+	root.End()
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
+		t.Fatalf("got %v, want a 400 StatusError", err)
+	}
+	if n := posts.Load(); n != 1 {
+		t.Errorf("traced 400 posted %d times, want 1", n)
+	}
+
+	var attempt string
+	for _, sd := range rec.Trace("t-bad") {
+		if sd.Name == "rpc:count" {
+			attempt = sd.SpanID
+		}
+	}
+	got := storeRec.Trace("t-bad")
+	if len(got) != 1 || got[0].Name != "storage:count" || attempt == "" || got[0].ParentID != attempt {
+		t.Fatalf("storage spans %+v, want one storage:count under attempt span %q", got, attempt)
+	}
+	if !reflect.DeepEqual(got[0].Attrs, obs.SpanAttrs{{Key: "code", Value: "400"}}) {
+		t.Errorf("storage span attrs %v, want code 400", got[0].Attrs)
+	}
+}
+
+// TestInboundIDBound sends request, trace and parent-span IDs of
+// growing length to an API route and to an RPC: up to obs.MaxIDLen
+// they are served (and traced), beyond it they get a 400, record no
+// span and are not echoed.
+func TestInboundIDBound(t *testing.T) {
 	ds := testData(t, 40)
-
-	t.Run("new-client-old-server", func(t *testing.T) {
-		// A pre-tracing storage node: decodes the frame directly, so the
-		// envelope magic is a 400, exactly like the old serveRPC.
-		var bare, wrapped atomic.Int32
-		old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			body, _ := io.ReadAll(r.Body)
-			if strings.HasPrefix(string(body), traceMagic) {
-				wrapped.Add(1)
-			} else {
-				bare.Add(1)
+	f := func(target, header string, n, wantCode int, wantSpans uint64) {
+		t.Helper()
+		rec := obs.NewSpanRecorder(obs.SpanRecorderConfig{Node: target})
+		var h http.Handler
+		var req *http.Request
+		switch target {
+		case "api":
+			h = server.New(server.Config{Spans: rec}).Handler()
+			req = httptest.NewRequest(http.MethodGet, "/api/v1/models", nil)
+		case "rpc":
+			st := NewStorage(ds, nil)
+			st.SetSpans(rec)
+			h = st.Handler()
+			req = httptest.NewRequest(http.MethodPost, "/rpc/v1/info", bytes.NewReader(emptyFrame(msgInfoReq)))
+			// The other half of the trace context is well-formed.
+			req.Header.Set(obs.TraceHeader, "t-1")
+			req.Header.Set(obs.ParentSpanHeader, "s-1")
+		}
+		if n > 0 {
+			req.Header.Set(header, strings.Repeat("x", n))
+		} else {
+			req.Header.Del(header)
+		}
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, req)
+		if rr.Code != wantCode {
+			t.Fatalf("%s %s of %d bytes: code %d, want %d (%s)", target, header, n, rr.Code, wantCode, rr.Body)
+		}
+		if got := rec.TotalSpans(); got != wantSpans {
+			t.Fatalf("%s %s of %d bytes: %d spans recorded, want %d", target, header, n, got, wantSpans)
+		}
+		for k, vs := range rr.Header() {
+			for _, v := range vs {
+				if len(v) > obs.MaxIDLen {
+					t.Fatalf("%s %s of %d bytes: response echoes %d bytes in %s", target, header, n, len(v), k)
+				}
 			}
-			if _, _, err := decodeFrame(body); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			w.Header().Set("Content-Type", "application/octet-stream")
-			w.Write((&infoResp{N: ds.N(), Names: ds.Names, Fingerprint: "d-x"}).encode())
-		}))
-		defer old.Close()
+		}
+		if rr.Body.Len() > 4*obs.MaxIDLen {
+			t.Fatalf("%s %s of %d bytes: %d-byte response body", target, header, n, rr.Body.Len())
+		}
+	}
+	const mb = 1 << 20
 
-		rec := obs.NewSpanRecorder(obs.SpanRecorderConfig{Node: "select"})
-		root := rec.StartRoot("test", "t-compat")
-		defer root.End()
-		ctx := obs.ContextWithSpan(context.Background(), root)
-		client := NewClient(ClientConfig{Timeout: 5 * time.Second, Retries: -1})
+	// API route: an absent ID is minted, so the root span is recorded.
+	for _, header := range []string{"X-Request-Id", obs.TraceHeader} {
+		f("api", header, 0, http.StatusOK, 1)
+		f("api", header, obs.MaxIDLen, http.StatusOK, 1)
+		f("api", header, obs.MaxIDLen+1, http.StatusBadRequest, 0)
+		f("api", header, mb, http.StatusBadRequest, 0)
+	}
 
-		for i := 0; i < 3; i++ {
-			payload, err := client.Call(ctx, old.URL, "info", emptyFrame(msgInfoReq), msgInfoResp)
-			if err != nil {
-				t.Fatalf("call %d: %v", i, err)
-			}
-			var info infoResp
-			if err := info.decode(payload); err != nil || info.N != ds.N() {
-				t.Fatalf("call %d: bad answer %+v %v", i, info, err)
-			}
-		}
-		// The probe costs exactly one wrapped exchange; every call after
-		// the verdict goes bare directly.
-		if wrapped.Load() != 1 || bare.Load() != 3 {
-			t.Errorf("wrapped=%d bare=%d, want 1 probe then bare-only", wrapped.Load(), bare.Load())
-		}
-		if client.peerCap(old.URL) != capLegacy {
-			t.Errorf("peer cap = %d, want capLegacy", client.peerCap(old.URL))
-		}
-	})
-
-	t.Run("old-client-new-server", func(t *testing.T) {
-		rec := obs.NewSpanRecorder(obs.SpanRecorderConfig{Node: "storage"})
-		st := NewStorage(ds, nil)
-		st.SetSpans(rec)
-		srv := httptest.NewServer(st.Handler())
-		defer srv.Close()
-
-		// An old client has no envelope: post the bare frame raw.
-		resp, err := http.Post(srv.URL+"/rpc/v1/info", "application/octet-stream",
-			strings.NewReader(string(emptyFrame(msgInfoReq))))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("bare frame against new server: %d", resp.StatusCode)
-		}
-		// No envelope, no trace: nothing lands in the ring.
-		if n := rec.TotalSpans(); n != 0 {
-			t.Errorf("bare RPC recorded %d spans, want 0", n)
-		}
-	})
-
-	t.Run("genuine-bad-request", func(t *testing.T) {
-		st := NewStorage(ds, nil)
-		st.SetSpans(obs.NewSpanRecorder(obs.SpanRecorderConfig{Node: "storage"}))
-		srv := httptest.NewServer(st.Handler())
-		defer srv.Close()
-
-		rec := obs.NewSpanRecorder(obs.SpanRecorderConfig{Node: "select"})
-		root := rec.StartRoot("test", "t-bad")
-		defer root.End()
-		ctx := obs.ContextWithSpan(context.Background(), root)
-		client := NewClient(ClientConfig{Timeout: 5 * time.Second, Retries: -1})
-
-		// An info frame on the count endpoint is a 400 from the inner
-		// dispatcher whether or not the envelope is understood, so the
-		// bare retry answers 400 too: the capability stays unknown.
-		_, err := client.Call(ctx, srv.URL, "count", emptyFrame(msgInfoReq), msgCountResp)
-		var se *StatusError
-		if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
-			t.Fatalf("got %v, want a 400 StatusError", err)
-		}
-		if client.peerCap(srv.URL) != capUnknown {
-			t.Errorf("genuine 400 poisoned the capability cache: %d", client.peerCap(srv.URL))
-		}
-
-		// The next well-formed call still negotiates modern.
-		if _, err := client.Call(ctx, srv.URL, "info", emptyFrame(msgInfoReq), msgInfoResp); err != nil {
-			t.Fatal(err)
-		}
-		if client.peerCap(srv.URL) != capModern {
-			t.Errorf("peer cap = %d after clean call, want capModern", client.peerCap(srv.URL))
-		}
-	})
+	// RPC: no trace ID means an untraced call; no parent span ID
+	// still continues the named trace.
+	f("rpc", obs.TraceHeader, 0, http.StatusOK, 0)
+	f("rpc", obs.TraceHeader, obs.MaxIDLen, http.StatusOK, 1)
+	f("rpc", obs.TraceHeader, obs.MaxIDLen+1, http.StatusBadRequest, 0)
+	f("rpc", obs.TraceHeader, mb, http.StatusBadRequest, 0)
+	f("rpc", obs.ParentSpanHeader, 0, http.StatusOK, 1)
+	f("rpc", obs.ParentSpanHeader, obs.MaxIDLen, http.StatusOK, 1)
+	f("rpc", obs.ParentSpanHeader, obs.MaxIDLen+1, http.StatusBadRequest, 0)
+	f("rpc", obs.ParentSpanHeader, mb, http.StatusBadRequest, 0)
 }

@@ -46,14 +46,3 @@ func Advise(N, phi int, s float64) Advice {
 func (d *Detector) Advise(s float64) Advice {
 	return Advise(d.N(), d.Phi(), s)
 }
-
-// AdviseTable tabulates the advice across a range of targets s — the
-// "intuitively interpretable parameter" a user is expected to sweep
-// (§2.4). Targets must be negative and are reported in input order.
-func AdviseTable(N, phi int, targets []float64) []Advice {
-	out := make([]Advice, len(targets))
-	for i, s := range targets {
-		out[i] = Advise(N, phi, s)
-	}
-	return out
-}

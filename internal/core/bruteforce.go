@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -200,19 +199,6 @@ func (d *Detector) BruteForce(opt BruteForceOptions) (*Result, error) {
 		return nil, err
 	}
 	return bruteForceOver(d.source(nil), opt)
-}
-
-// BruteForceOver runs the same enumeration against an arbitrary
-// CountSource — the entry point of the distributed fit. The walk
-// depends on the data only through partial-set counts, so any source
-// reporting the counts of the concatenated data reproduces the
-// single-node Result bit for bit. Options bound to a detector's index
-// (Cache) are rejected.
-func BruteForceOver(src CountSource, opt BruteForceOptions) (*Result, error) {
-	if opt.Cache != nil {
-		return nil, fmt.Errorf("core: BruteForceOptions.Cache requires a detector-backed search")
-	}
-	return bruteForceOver(src, opt)
 }
 
 func bruteForceOver(src CountSource, opt BruteForceOptions) (*Result, error) {

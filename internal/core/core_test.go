@@ -626,10 +626,6 @@ func TestAdvise(t *testing.T) {
 	if da.Phi != 10 {
 		t.Errorf("detector Advise phi = %d", da.Phi)
 	}
-	tbl := AdviseTable(10000, 10, []float64{-2, -3, -4})
-	if len(tbl) != 3 || tbl[0].K < tbl[2].K {
-		t.Errorf("AdviseTable = %+v", tbl)
-	}
 }
 
 // newTestSearch builds a search with initialized internals for

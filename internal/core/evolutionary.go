@@ -220,19 +220,6 @@ func (d *Detector) Evolutionary(opt EvoOptions) (*Result, error) {
 	return evolutionaryOver(d.source(opt.Cache), opt)
 }
 
-// EvolutionaryOver runs the same search against an arbitrary
-// CountSource — the entry point of the distributed fit, where the
-// source sums per-shard cube counts. The trajectory depends on the
-// data only through counts, so any source that reports the counts of
-// the concatenated data reproduces the single-node Result bit for
-// bit. Options bound to a detector's index (Cache) are rejected.
-func EvolutionaryOver(src CountSource, opt EvoOptions) (*Result, error) {
-	if opt.Cache != nil {
-		return nil, fmt.Errorf("core: EvoOptions.Cache requires a detector-backed search")
-	}
-	return evolutionaryOver(src, opt)
-}
-
 func evolutionaryOver(src CountSource, opt EvoOptions) (*Result, error) {
 	if err := validateEvoOptions(src, opt); err != nil {
 		return nil, err

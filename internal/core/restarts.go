@@ -45,10 +45,13 @@ func (d *Detector) EvolutionaryRestarts(opt EvoOptions, restarts int) (*Result, 
 }
 
 // EvolutionaryRestartsOver is EvolutionaryRestarts against an
-// arbitrary CountSource (see EvolutionaryOver). The source is shared
-// by the concurrent restarts, so it must be safe for concurrent use;
-// no shared grid.Cache is auto-created — a memoizing source provides
-// its own cross-run reuse. Options bound to a detector's index
+// arbitrary CountSource — the entry point of the distributed fit,
+// where the source sums per-shard cube counts. The trajectory depends
+// on the data only through counts, so a source reporting the counts
+// of the concatenated data reproduces the single-node Result bit for
+// bit. The source is shared by the concurrent restarts, so it must be
+// safe for concurrent use; no shared grid.Cache is auto-created — a
+// memoizing source provides its own cross-run reuse. Options bound to a detector's index
 // (Cache) are rejected.
 func EvolutionaryRestartsOver(src CountSource, opt EvoOptions, restarts int) (*Result, error) {
 	if opt.Cache != nil {
@@ -134,29 +137,6 @@ func evolutionaryRestartsOver(src CountSource, opt EvoOptions, restarts int) (*R
 		notifySummary(opt.Observer, runID, "evo-restarts", merged, false, opt.Cache)
 	}
 	return merged, nil
-}
-
-// EvolutionarySweepK runs the evolutionary search at every projection
-// dimensionality in [kmin, kmax] and returns the per-k results keyed
-// by k. The paper's desiderata note that thresholds at different k
-// are not directly comparable (§1.1); the sparsity coefficient is the
-// normalizer, so callers typically merge the per-k projections after
-// filtering each at the same target coefficient.
-func (d *Detector) EvolutionarySweepK(opt EvoOptions, kmin, kmax int) (map[int]*Result, error) {
-	if kmin < 1 || kmax < kmin || kmax > d.D() {
-		return nil, fmt.Errorf("core: k sweep [%d,%d] outside [1,%d]", kmin, kmax, d.D())
-	}
-	out := make(map[int]*Result, kmax-kmin+1)
-	for k := kmin; k <= kmax; k++ {
-		o := opt
-		o.K = k
-		res, err := d.Evolutionary(o)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = res
-	}
-	return out, nil
 }
 
 // FilterProjections returns a copy of the result keeping only

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"hido/internal/cube"
@@ -131,40 +130,9 @@ func TestMinimalExplanations(t *testing.T) {
 	}
 }
 
-func TestBruteForceParallelMatchesSequential(t *testing.T) {
-	ds := plantedDataset(400, 8, 34)
-	det := NewDetector(ds, 4)
-	seq, err := det.BruteForce(BruteForceOptions{K: 3, M: 15})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 0} {
-		par, err := det.BruteForceParallel(BruteForceOptions{K: 3, M: 15}, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if par.Evaluations != seq.Evaluations {
-			t.Errorf("workers=%d: evaluations %d vs sequential %d",
-				workers, par.Evaluations, seq.Evaluations)
-		}
-		if len(par.Projections) != len(seq.Projections) {
-			t.Fatalf("workers=%d: %d projections vs %d", workers,
-				len(par.Projections), len(seq.Projections))
-		}
-		// Quality identical position by position (cube identity may
-		// differ on exact ties).
-		for i := range par.Projections {
-			if math.Abs(par.Projections[i].Sparsity-seq.Projections[i].Sparsity) > 1e-9 {
-				t.Errorf("workers=%d pos %d: sparsity %v vs %v", workers, i,
-					par.Projections[i].Sparsity, seq.Projections[i].Sparsity)
-			}
-		}
-	}
-}
-
 func TestBruteForceParallelK1FallsBack(t *testing.T) {
 	det := NewDetector(plantedDataset(100, 4, 35), 4)
-	res, err := det.BruteForceParallel(BruteForceOptions{K: 1, M: 5}, 4)
+	res, err := det.BruteForce(BruteForceOptions{K: 1, M: 5, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +143,7 @@ func TestBruteForceParallelK1FallsBack(t *testing.T) {
 
 func TestBruteForceParallelBudget(t *testing.T) {
 	det := NewDetector(plantedDataset(200, 10, 36), 5)
-	res, err := det.BruteForceParallel(BruteForceOptions{K: 3, M: 5, MaxCandidates: 500}, 4)
+	res, err := det.BruteForce(BruteForceOptions{K: 3, M: 5, MaxCandidates: 500, Workers: 4})
 	if err == nil {
 		t.Fatal("budget not reported")
 	}
@@ -186,7 +154,7 @@ func TestBruteForceParallelBudget(t *testing.T) {
 
 func TestBruteForceParallelValidation(t *testing.T) {
 	det := NewDetector(plantedDataset(50, 3, 37), 3)
-	if _, err := det.BruteForceParallel(BruteForceOptions{K: 0, M: 5}, 2); err == nil {
+	if _, err := det.BruteForce(BruteForceOptions{K: 0, M: 5, Workers: 4}); err == nil {
 		t.Error("k=0 accepted")
 	}
 }
@@ -208,29 +176,5 @@ func TestMinimalExplanationsDropDominated(t *testing.T) {
 				t.Errorf("explanation %v dominated by %v but kept", a.Cube, b.Cube)
 			}
 		}
-	}
-}
-
-func TestEvolutionarySweepK(t *testing.T) {
-	det := NewDetector(plantedDataset(300, 6, 62), 4)
-	results, err := det.EvolutionarySweepK(EvoOptions{M: 10, Seed: 1}, 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("got %d results", len(results))
-	}
-	for k, res := range results {
-		for _, p := range res.Projections {
-			if p.Cube.K() != k {
-				t.Errorf("k=%d result holds a %d-dim projection", k, p.Cube.K())
-			}
-		}
-	}
-	if _, err := det.EvolutionarySweepK(EvoOptions{M: 10}, 2, 1); err == nil {
-		t.Error("inverted sweep accepted")
-	}
-	if _, err := det.EvolutionarySweepK(EvoOptions{M: 10}, 0, 2); err == nil {
-		t.Error("kmin=0 accepted")
 	}
 }

@@ -15,7 +15,7 @@ import (
 // the serving middleware opens, whose children mark request phases
 // (decode, score, encode) and per-peer cluster RPCs, and whose
 // storage-side spans are continued on other nodes from the trace
-// context carried in the hcp1 frame envelope.
+// context carried in the RPC's HTTP headers.
 //
 // Two contracts mirror the Observer design:
 //
@@ -28,9 +28,24 @@ import (
 //     scratch, so steady traced traffic reuses the same memory: the
 //     ring can drop history (oldest first), never grow without bound.
 
+// Trace-context headers. The API middleware joins a caller's trace
+// named in TraceHeader; the cluster client sends TraceHeader and
+// ParentSpanHeader on every traced RPC, and the storage node continues
+// the trace from them. A peer that does not read them ignores them.
+const (
+	TraceHeader      = "X-Trace-Id"
+	ParentSpanHeader = "X-Parent-Span-Id"
+)
+
+// MaxIDLen bounds every inbound request, trace and span ID. Minted IDs
+// are about 20 bytes; a longer one is hostile (it would be echoed back
+// and kept in the span ring), so the API and RPC handlers refuse it
+// with a 400.
+const MaxIDLen = 256
+
 // SpanContext is the cross-process half of a span: the trace it
 // belongs to and the span ID a remote continuation should use as its
-// parent. It travels in HTTP headers and in the hcp1 trace envelope.
+// parent. It travels in the TraceHeader and ParentSpanHeader headers.
 type SpanContext struct {
 	TraceID string
 	SpanID  string

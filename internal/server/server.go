@@ -485,9 +485,12 @@ func (s *Server) route(pattern, endpoint string, heavy bool, h http.HandlerFunc)
 		// Propagate the caller's correlation ID when it supplies one;
 		// mint a fresh one otherwise. Handlers read it back from the
 		// request context (obs.RequestID) and clients from the response
-		// header.
+		// header. An ID over obs.MaxIDLen is never echoed or recorded:
+		// the request gets a minted ID, no span, and a 400 below.
 		reqID := r.Header.Get("X-Request-Id")
-		if reqID == "" {
+		traceID := r.Header.Get(obs.TraceHeader)
+		badID := len(reqID) > obs.MaxIDLen || len(traceID) > obs.MaxIDLen
+		if reqID == "" || badID {
 			reqID = s.reqIDs.Next()
 		}
 		sw.Header().Set("X-Request-Id", reqID)
@@ -498,13 +501,12 @@ func (s *Server) route(pattern, endpoint string, heavy bool, h http.HandlerFunc)
 		// tree from /api/v1/debug/traces/{id}. All of this is skipped —
 		// span stays nil, zero allocations — when tracing is off.
 		var span *obs.Span
-		if spannable && s.cfg.Spans != nil {
-			traceID := r.Header.Get("X-Trace-Id")
+		if spannable && s.cfg.Spans != nil && !badID {
 			if traceID == "" {
 				traceID = reqID
 			}
 			if span = s.cfg.Spans.StartRoot(endpoint, traceID); span != nil {
-				sw.Header().Set("X-Trace-Id", traceID)
+				sw.Header().Set(obs.TraceHeader, traceID)
 				ctx = obs.ContextWithSpan(ctx, span)
 			}
 		}
@@ -555,6 +557,11 @@ func (s *Server) route(pattern, endpoint string, heavy bool, h http.HandlerFunc)
 			}
 		}()
 
+		if badID {
+			writeError(sw, http.StatusBadRequest,
+				"X-Request-Id and X-Trace-Id are limited to "+strconv.Itoa(obs.MaxIDLen)+" bytes")
+			return
+		}
 		if r.Body != nil {
 			r.Body = http.MaxBytesReader(sw, r.Body, s.cfg.MaxBodyBytes)
 		}
